@@ -9,30 +9,41 @@ durable. Per size it records:
 
 * ``words_per_epoch`` — the channel bill (the paper's y-axis), derived
   from the streamed :class:`~repro.network.simulator.RunningStats`;
+* ``elapsed_s`` — wall-clock of the whole run (topology build included),
+  timed in a pass without tracemalloc;
+* ``tree_build_s`` — the part of ``elapsed_s`` spent in
+  ``build_bushy_tree``;
 * ``tracemalloc_peak_mb`` — peak python-visible allocations of the run
-  (numpy buffers included), the apples-to-apples memory curve;
-* ``ru_maxrss_kb`` — the kernel's whole-process resident high-water mark;
-* ``elapsed_s`` — wall-clock of the whole run (topology build included).
+  (numpy buffers included), the apples-to-apples memory curve, taken in a
+  second, traced pass of the same run;
+* ``results_identical`` — the two passes produced the same result;
+* ``ru_maxrss_kb`` — the kernel's whole-process resident high-water mark.
 
-The record lands in ``results/scale_curve.json`` (committed, uploaded as
-a CI artifact by the ``scale-smoke`` job). Run standalone::
+The record also carries the host's ``cpu_count`` and lands in
+``results/scale_curve.json`` (committed, uploaded as a CI artifact by the
+``scale-smoke`` job). Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_scale.py [--sizes N [N ...]]
-        [--epochs E] [--full] [--out PATH] [--max-peak-mb MB]
+        [--epochs E] [--full] [--out PATH] [--label TEXT]
+        [--baseline PATH] [--max-peak-mb MB]
 
-``--full`` appends the 100k-node point (the ISSUE acceptance run; a few
-minutes). ``--max-peak-mb`` turns the largest size's tracemalloc peak
-into a hard gate — the CI smoke job uses it as the memory ceiling.
+``--full`` appends the 100k-node acceptance point (under a minute).
+``--label`` names the program version measured; ``--baseline`` compares
+with an earlier record taken on the same host. ``--max-peak-mb`` turns
+the largest size's tracemalloc peak into a hard gate — the CI smoke job
+uses it as the memory ceiling.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import resource
 import time
 import tracemalloc
+from contextlib import contextmanager
 
 RESULT_NAME = "scale_curve.json"
 
@@ -40,12 +51,46 @@ RESULT_NAME = "scale_curve.json"
 #: retained-timeline run would visibly bend the memory curve.
 DEFAULT_SIZES = (1000, 5000, 20000)
 
-#: The ISSUE acceptance point, appended by ``--full``.
+#: The scale tier's acceptance point, appended by ``--full``.
 FULL_SIZE = 100_000
+
+#: Size of the discarded warm-up run that precedes the curve.
+WARM_UP_SIZE = 200
+
+
+@contextmanager
+def tree_build_clock():
+    """Accumulate the seconds ``run_config_result`` spends building trees.
+
+    ``build_scenario`` calls ``repro.api.build_bushy_tree``; for the
+    duration of the block that reference is a timed wrapper around the
+    real builder. Yields a one-element list holding the running total.
+    """
+    import repro.api as api
+
+    build = api.build_bushy_tree
+    spent = [0.0]
+
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - started
+
+    api.build_bushy_tree = timed
+    try:
+        yield spent
+    finally:
+        api.build_bushy_tree = build
 
 
 def measure_point(num_sensors: int, epochs: int, store_dir: str, seed: int = 0) -> dict:
-    """One curve point: a packed, streamed, spilled TAG run at one size."""
+    """One curve point: a packed, streamed, spilled TAG run at one size.
+
+    The run is made twice: once timed, once under tracemalloc, so the
+    tracer's per-allocation cost never lands in the timings.
+    """
     from repro.api import (
         EngineOptions,
         RunConfig,
@@ -53,6 +98,7 @@ def measure_point(num_sensors: int, epochs: int, store_dir: str, seed: int = 0) 
         config_digest,
         run_config_result,
     )
+    from repro.serialization import to_jsonable
     from repro.storage import count_epochs
 
     config = RunConfig(
@@ -69,10 +115,12 @@ def measure_point(num_sensors: int, epochs: int, store_dir: str, seed: int = 0) 
         retention="stream",
         storage=f"jsonl:{store_dir}",
     )
+    with tree_build_clock() as tree_build:
+        started = time.perf_counter()
+        result = run_config_result(config)
+        elapsed_s = time.perf_counter() - started
     tracemalloc.start()
-    started = time.perf_counter()
-    result = run_config_result(config)
-    elapsed_s = time.perf_counter() - started
+    traced = run_config_result(config)
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     report = RunReport(config=config, result=result)
@@ -84,14 +132,19 @@ def measure_point(num_sensors: int, epochs: int, store_dir: str, seed: int = 0) 
         "stored_epochs": stored,
         "words_per_epoch": report.words_per_epoch(),
         "rms_error": report.rms_error(),
+        "results_identical": to_jsonable(result) == to_jsonable(traced),
         "tracemalloc_peak_bytes": peak,
         "tracemalloc_peak_mb": round(peak / 1e6, 3),
         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "elapsed_s": round(elapsed_s, 3),
+        "tree_build_s": round(tree_build[0], 3),
     }
 
 
 def run_curve(sizes, epochs: int, store_dir: str) -> dict:
+    # A throwaway small run first, so lazy imports and first-use set-up
+    # land in no point's timing or traced peak.
+    measure_point(WARM_UP_SIZE, 1, store_dir)
     points = []
     for num_sensors in sizes:
         point = measure_point(num_sensors, epochs, store_dir)
@@ -100,12 +153,13 @@ def run_curve(sizes, epochs: int, store_dir: str) -> dict:
             f"  N={num_sensors:>7d}: words/epoch={point['words_per_epoch']:.0f} "
             f"peak={point['tracemalloc_peak_mb']:.1f}MB "
             f"rss={point['ru_maxrss_kb']}kB "
-            f"elapsed={point['elapsed_s']}s",
+            f"elapsed={point['elapsed_s']}s tree={point['tree_build_s']}s",
             flush=True,
         )
     return {
         "benchmark": "scale",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "cpu_count": os.cpu_count(),
         "scheme": "TAG",
         "topology": "synthetic-scale",
         "state": "packed",
@@ -113,6 +167,35 @@ def run_curve(sizes, epochs: int, store_dir: str) -> dict:
         "store": "jsonl",
         "epochs": epochs,
         "points": points,
+    }
+
+
+def compare_with(record: dict, baseline: dict) -> None:
+    """Attach an earlier record's timings to the points it also measured.
+
+    The baseline should come from the same host: each matching point
+    gains ``baseline_elapsed_s``/``baseline_tree_build_s`` and a
+    ``speedup`` (baseline over current ``elapsed_s``), and
+    ``results_identical`` also requires the baseline's words and error.
+    """
+    earlier = {
+        (point["num_sensors"], point["epochs"]): point
+        for point in baseline["points"]
+    }
+    for point in record["points"]:
+        before = earlier.get((point["num_sensors"], point["epochs"]))
+        if before is None:
+            continue
+        point["baseline_elapsed_s"] = before["elapsed_s"]
+        point["baseline_tree_build_s"] = before.get("tree_build_s")
+        point["speedup"] = round(before["elapsed_s"] / point["elapsed_s"], 2)
+        point["results_identical"] = bool(
+            point["results_identical"]
+            and before["words_per_epoch"] == point["words_per_epoch"]
+            and before["rms_error"] == point["rms_error"]
+        )
+    record["baseline"] = {
+        key: baseline.get(key) for key in ("label", "timestamp", "cpu_count")
     }
 
 
@@ -141,6 +224,18 @@ def main() -> int:
         help="jsonl spill directory (default: a temp dir, discarded)",
     )
     parser.add_argument(
+        "--label", default=None, help="names the program version measured"
+    )
+    parser.add_argument(
+        "--baseline",
+        type=pathlib.Path,
+        default=None,
+        help=(
+            "an earlier scale record from the same host; matching points "
+            "gain its timings and a speedup"
+        ),
+    )
+    parser.add_argument(
         "--max-peak-mb",
         type=float,
         default=None,
@@ -161,6 +256,9 @@ def main() -> int:
 
         with tempfile.TemporaryDirectory() as store_dir:
             record = run_curve(sizes, args.epochs, store_dir)
+    record["label"] = args.label
+    if args.baseline is not None:
+        compare_with(record, json.loads(args.baseline.read_text()))
     text = json.dumps(record, indent=2)
     out = args.out or (pathlib.Path(__file__).parent / "results" / RESULT_NAME)
     out.parent.mkdir(parents=True, exist_ok=True)

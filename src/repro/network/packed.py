@@ -257,22 +257,29 @@ class PackedRings:
         own = self.level_of[int(node)]
         return ring[self.level_of[ring] == own - 1].tolist()
 
-    def downstream_neighbors(self, node: NodeId) -> List[NodeId]:
-        ring = self._ring_slice(node)
-        own = self.level_of[int(node)]
-        return ring[self.level_of[ring] == own + 1].tolist()
+    def upstream_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``RingsTopology.upstream_csr`` off the adjacency with one mask.
 
-    def same_level_neighbors(self, node: NodeId) -> List[NodeId]:
-        ring = self._ring_slice(node)
-        own = self.level_of[int(node)]
-        return ring[self.level_of[ring] == own].tolist()
+        Ids are dense, so rows are node ids and the upstream runs are the
+        adjacency runs' level-(i-1) entries, still ascending.
+        """
+        degree = np.diff(self.indptr)
+        upward = self.level_of[self.neighbors] == np.repeat(self.level_of - 1, degree)
+        kept = np.zeros(len(upward) + 1, dtype=np.int64)
+        np.cumsum(upward, out=kept[1:])
+        return (
+            np.arange(len(self.level_of)),
+            self.level_of,
+            kept[self.indptr],
+            self.neighbors[upward],
+        )
 
     def ring_edges(self) -> List[Tuple[NodeId, NodeId]]:
-        src = np.repeat(np.arange(len(self.level_of)), np.diff(self.indptr))
-        mask = self.level_of[self.neighbors] == self.level_of[src] - 1
+        ids, _level, indptr, upstream = self.upstream_csr()
+        src = np.repeat(ids, np.diff(indptr))
         # CSR runs ascend by source then neighbor, so this is already the
         # lexicographic order the dict tier's sorted() produces.
-        return list(zip(src[mask].tolist(), self.neighbors[mask].tolist()))
+        return list(zip(src.tolist(), upstream.tolist()))
 
     def validate(self) -> None:
         src = np.repeat(np.arange(len(self.level_of)), np.diff(self.indptr))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Collection, Dict, List, Mapping, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import TopologyError
 from repro.network.placement import BASE_STATION, Deployment, NodeId
@@ -98,6 +99,29 @@ class RingsTopology:
             other
             for other in self.connectivity.neighbors(node)
             if self.levels[other] == own - 1
+        )
+
+    def upstream_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's upstream neighbours at once, as a CSR over rows.
+
+        Returns ``(ids, level, indptr, upstream)``: row ``i`` is node
+        ``ids[i]`` (ids ascending) at ring ``level[i]``, and
+        ``upstream[indptr[i]:indptr[i + 1]]`` holds the rows of
+        ``upstream_neighbors(ids[i])`` in the same ascending order.
+        """
+        ids = sorted(self.levels)
+        row = {node: index for index, node in enumerate(ids)}
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        upstream: List[int] = []
+        for index, node in enumerate(ids):
+            upstream.extend(row[other] for other in self.upstream_neighbors(node))
+            indptr[index + 1] = len(upstream)
+        level = np.array([self.levels[node] for node in ids], dtype=np.int64)
+        return (
+            np.array(ids, dtype=np.int64),
+            level,
+            indptr,
+            np.array(upstream, dtype=np.int64),
         )
 
     def downstream_neighbors(self, node: NodeId) -> List[NodeId]:

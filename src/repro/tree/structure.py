@@ -11,8 +11,8 @@ derived quantities matter throughout the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.network.placement import BASE_STATION, NodeId
@@ -75,14 +75,6 @@ class Tree:
             child_list.sort()
         return children
 
-    def children(self, node: NodeId) -> List[NodeId]:
-        """Sorted children of ``node``."""
-        return sorted(c for c, p in self.parents.items() if p == node)
-
-    def is_leaf(self, node: NodeId) -> bool:
-        """True if ``node`` has no children."""
-        return not any(p == node for p in self.parents.values())
-
     # -- derived structure ---------------------------------------------------
 
     def levels(self) -> Dict[NodeId, int]:
@@ -125,17 +117,6 @@ class Tree:
             sizes[node] = 1 + sum(sizes[child] for child in children[node])
         return sizes
 
-    def subtree_nodes(self, node: NodeId) -> List[NodeId]:
-        """All nodes in the subtree rooted at ``node`` (sorted)."""
-        children = self.children_map()
-        collected: List[NodeId] = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            collected.append(current)
-            stack.extend(children[current])
-        return sorted(collected)
-
     def postorder(self) -> List[NodeId]:
         """Children-before-parents order (the aggregation order)."""
         children = self.children_map()
@@ -150,15 +131,3 @@ class Tree:
                 for child in reversed(children[node]):
                     stack.append((child, False))
         return order
-
-    def edges(self) -> List[Tuple[NodeId, NodeId]]:
-        """Directed (child, parent) edges, sorted by child."""
-        return sorted(self.parents.items())
-
-    def with_parent(self, child: NodeId, new_parent: NodeId) -> "Tree":
-        """Return a copy with ``child`` re-attached under ``new_parent``."""
-        if child == self.root:
-            raise TopologyError("cannot reparent the root")
-        updated = dict(self.parents)
-        updated[child] = new_parent
-        return Tree(parents=updated, root=self.root)
