@@ -60,6 +60,12 @@ class TestAccessors:
         assert children[1] == [3, 4]
         assert children[6] == []
 
+    def test_is_leaf(self, sample_tree):
+        children = sample_tree.children_map()
+        leaves = [node for node in sample_tree.nodes if not children[node]]
+        assert leaves == [4, 5, 6]
+        assert children[1]
+
 
 class TestDerived:
     def test_levels(self, sample_tree):
