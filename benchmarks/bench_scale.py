@@ -24,14 +24,12 @@ The record also carries the host's ``cpu_count`` and lands in
 ``scale-smoke`` job). Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_scale.py [--sizes N [N ...]]
-        [--epochs E] [--full] [--out PATH] [--label TEXT]
-        [--baseline PATH] [--max-peak-mb MB]
+        [--epochs E] [--full] [--out PATH] [--max-peak-mb MB]
 
-``--full`` appends the 100k-node acceptance point (under a minute).
-``--label`` names the program version measured; ``--baseline`` compares
-with an earlier record taken on the same host. ``--max-peak-mb`` turns
-the largest size's tracemalloc peak into a hard gate — the CI smoke job
-uses it as the memory ceiling.
+``--full`` appends the 100k-node acceptance point (about two minutes,
+most of it in the traced pass).
+``--max-peak-mb`` turns the largest size's tracemalloc peak into a hard
+gate — the CI smoke job uses it as the memory ceiling.
 """
 
 from __future__ import annotations
@@ -170,35 +168,6 @@ def run_curve(sizes, epochs: int, store_dir: str) -> dict:
     }
 
 
-def compare_with(record: dict, baseline: dict) -> None:
-    """Attach an earlier record's timings to the points it also measured.
-
-    The baseline should come from the same host: each matching point
-    gains ``baseline_elapsed_s``/``baseline_tree_build_s`` and a
-    ``speedup`` (baseline over current ``elapsed_s``), and
-    ``results_identical`` also requires the baseline's words and error.
-    """
-    earlier = {
-        (point["num_sensors"], point["epochs"]): point
-        for point in baseline["points"]
-    }
-    for point in record["points"]:
-        before = earlier.get((point["num_sensors"], point["epochs"]))
-        if before is None:
-            continue
-        point["baseline_elapsed_s"] = before["elapsed_s"]
-        point["baseline_tree_build_s"] = before.get("tree_build_s")
-        point["speedup"] = round(before["elapsed_s"] / point["elapsed_s"], 2)
-        point["results_identical"] = bool(
-            point["results_identical"]
-            and before["words_per_epoch"] == point["words_per_epoch"]
-            and before["rms_error"] == point["rms_error"]
-        )
-    record["baseline"] = {
-        key: baseline.get(key) for key in ("label", "timestamp", "cpu_count")
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -224,18 +193,6 @@ def main() -> int:
         help="jsonl spill directory (default: a temp dir, discarded)",
     )
     parser.add_argument(
-        "--label", default=None, help="names the program version measured"
-    )
-    parser.add_argument(
-        "--baseline",
-        type=pathlib.Path,
-        default=None,
-        help=(
-            "an earlier scale record from the same host; matching points "
-            "gain its timings and a speedup"
-        ),
-    )
-    parser.add_argument(
         "--max-peak-mb",
         type=float,
         default=None,
@@ -256,9 +213,6 @@ def main() -> int:
 
         with tempfile.TemporaryDirectory() as store_dir:
             record = run_curve(sizes, args.epochs, store_dir)
-    record["label"] = args.label
-    if args.baseline is not None:
-        compare_with(record, json.loads(args.baseline.read_text()))
     text = json.dumps(record, indent=2)
     out = args.out or (pathlib.Path(__file__).parent / "results" / RESULT_NAME)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -257,6 +257,16 @@ class PackedRings:
         own = self.level_of[int(node)]
         return ring[self.level_of[ring] == own - 1].tolist()
 
+    def downstream_neighbors(self, node: NodeId) -> List[NodeId]:
+        ring = self._ring_slice(node)
+        own = self.level_of[int(node)]
+        return ring[self.level_of[ring] == own + 1].tolist()
+
+    def same_level_neighbors(self, node: NodeId) -> List[NodeId]:
+        ring = self._ring_slice(node)
+        own = self.level_of[int(node)]
+        return ring[self.level_of[ring] == own].tolist()
+
     def upstream_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``RingsTopology.upstream_csr`` off the adjacency with one mask.
 

@@ -73,6 +73,19 @@ def test_packed_is_byte_identical_600(scheme, failure):
     assert _dumps(plain) == _dumps(packed)
 
 
+def test_packed_td_adaptation_is_byte_identical_600():
+    """TD with convergence epochs: the adaptation walks the packed rings
+    (switchable sets, downstream neighbours) and still matches the dict
+    path bit for bit."""
+    base = dict(
+        BASE, scheme="TD", failure="global:0.3", num_sensors=600, epochs=3,
+        converge_epochs=20,
+    )
+    plain = _run(RunConfig(**base))
+    packed = _run(RunConfig(engine=EngineOptions(state="packed"), **base))
+    assert _dumps(plain) == _dumps(packed)
+
+
 def test_packed_identity_on_labdata_conversion():
     """Topologies without a native packed builder go through pack_topology."""
     base = dict(
